@@ -1,0 +1,7 @@
+"""Make ``perfbench`` and the program's ``src/`` importable."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
