@@ -11,12 +11,12 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	bench-cluster coverage check
 
 ## Both lint passes (determinism REP001-REP006 + concurrency
-## REP101-REP105) over the source tree.
+## REP101-REP103, REP105) over the source tree.
 lint:
 	$(PY) -m repro.devtools.lint src
 
 ## Concurrency pass alone (guarded-by discipline, task lifetime,
-## blocking-in-async, shard-write disjointness, dropped futures).
+## blocking-in-async, dropped futures).
 lint-concurrency:
 	$(PY) -m repro.devtools.concurrency src
 
@@ -36,10 +36,8 @@ test:
 	$(PY) -m pytest -x -q
 
 ## Quick perf bench: the scalar/vector x brute/index x batched/per-client
-## x parallel/serial x sharded/serial-state flag matrix
-## (use_vectorized_step, use_spatial_index, use_batched_ping,
-## use_parallel_ping, use_sharded_state) plus the orchestrator sweep
-## leg and the per-shard-count scaling leg.
+## flag matrix (use_vectorized_step, use_spatial_index,
+## use_batched_ping) plus the orchestrator sweep leg.
 bench-quick:
 	$(PY) benchmarks/bench_perf_engine.py --quick
 

@@ -1,7 +1,7 @@
 """Engine/ping throughput across the scalar/vector × brute/index ×
-batched/per-client × parallel/serial × sharded/serial-state matrix.
+batched/per-client flag matrix.
 
-The engine has five independent performance flags, all of which must
+The engine has three independent performance flags, all of which must
 only ever change speed, never behaviour:
 
 * ``use_spatial_index`` (PR 1) — grid indexes behind the k-nearest and
@@ -16,32 +16,6 @@ only ever change speed, never behaviour:
   type) against every ping location, shared top-k/EWT extraction and
   surge-area lookups, per-account jitter resolved once per round.  Only
   takes effect on the vectorized step path.
-* ``use_parallel_ping`` (PR 5) — the batched pass's distance kernels
-  sharded per (car type, location block) onto a worker thread pool
-  (:mod:`repro.parallel.sharding`; the kernels release the GIL) and
-  merged back in serial order.  Only takes effect on top of the batched
-  vectorized path; with ``parallel_workers`` unset it auto-sizes to
-  ``min(4, cpu_count)`` and stays serial on single-core machines.
-* ``use_sharded_state`` (PR 7) — the *tick's own state* partitioned per
-  spatial grid block (:mod:`repro.parallel.partition` +
-  ``ShardedFleetState``): the movement kernel and the observe census
-  run per stripe over disjoint rows of the shared fleet arrays, merged
-  serially in stripe order.  Only takes effect on the vectorized step
-  path; with ``state_shards`` unset it auto-sizes to
-  ``min(4, cpu_count)`` and stays serial on single-core machines.
-
-The per-shard-count scaling leg times the bare engine tick under
-``state_shards`` in ``STATE_SHARD_COUNTS`` (1 = the serial reference) —
-the curve behind the ROADMAP item-2 claim that spatial partitioning,
-not just round serving, scales with cores.
-
-The ``sharded_executor`` leg is the process-executor headline: a
-~100k-driver Manhattan metro (306x the paper-era fleet) ticked three
-ways — serial, stripes on the thread pool, stripes in shared-memory
-worker processes (``shard_executor="process"``, the path that escapes
-the GIL entirely; :mod:`repro.parallel.shm`).  The
-``process_vs_serial_engine_ticks`` floor is enforced on >= 4-core
-machines only; single-core hosts record the numbers unenforced.
 
 A separate sweep leg times the process-pool campaign orchestrator
 (:func:`repro.parallel.run_sweep`): four independent campaigns (two
@@ -61,12 +35,6 @@ legs answer with N independent pings).  Metrics per leg:
 
 Headline speedups reported:
 
-* ``sharded_2shard_vs_serial_engine_ticks`` — the PR 7 headline: the
-  2-stripe sharded tick vs the serial-state reference, engine ticks
-  only (target: >= 1.4x on >= 2 cores);
-* ``parallel_vs_serial_ping_rounds`` — the PR 5 headline: sharded round
-  serving with 4 forced workers vs the single-thread batched path
-  (target: >= 1.3x on >= 4 cores);
 * ``sweep_parallel_vs_sequential`` — the 4-campaign orchestrator sweep
   vs running the same specs sequentially (target: >= 2x on >= 4 cores);
 * ``batched_vs_perclient_ping_rounds`` — the PR 4 headline: batched
@@ -77,11 +45,11 @@ Headline speedups reported:
 * ``indexed_vs_brute_scalar_campaign`` — the PR 1 comparison, retained.
 
 Each target is recorded in the output JSON under ``thresholds`` with an
-``enforced`` bit (thread/process speedups are only enforced on machines
-with >= 4 cores; single-core CI still records the numbers).
+``enforced`` bit (the sweep speedup is only enforced on machines with
+>= 4 cores; single-core CI still records the numbers).
 
 The same-seed equivalence check at the end re-runs a small scenario in
-all thirty-two flag combinations and requires bit-identical
+all eight flag combinations and requires bit-identical
 ``IntervalTruth`` logs, trip ledgers, ping replies, and engine RNG
 state — the flags must never change behaviour.
 
@@ -107,11 +75,7 @@ from typing import Dict, List, Optional, Sequence
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.api.ping import PingEndpoint
-from repro.marketplace.config import (
-    CityConfig,
-    ParallelParams,
-    manhattan_config,
-)
+from repro.marketplace.config import CityConfig, manhattan_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.measurement.placement import place_clients
 from repro.parallel.orchestrator import CampaignSpec, run_sweep
@@ -147,95 +111,51 @@ def scenario_config(scale: int) -> CityConfig:
     )
 
 
-#: Worker threads the forced-parallel leg and the sweep use; matches
-#: the ">= 4 workers / >= 4 cores" acceptance targets.
-PARALLEL_WORKERS = 4
+#: Worker processes the sweep leg uses; matches the ">= 4 workers /
+#: >= 4 cores" acceptance target.
+SWEEP_JOBS = 4
 
 #: The timed engine modes, keyed by the flag combination they exercise.
-#: ``vector_parallel`` is the default mode with ``parallel_workers``
-#: pinned to 4 (auto-sizing would fall back to serial on small CI
-#: boxes, which is the right default but not an interesting A/B);
-#: ``vector_indexed`` turns only ``use_parallel_ping`` off — the PR 5
-#: A/B pair and the PR 4 configuration; ``vector_perclient`` turns
-#: ``use_batched_ping`` off too — the PR 4 A/B pair;
-#: ``scalar_indexed`` is the PR 1 configuration; ``scalar_brute`` is
-#: the seed behaviour.  (``use_batched_ping``/``use_parallel_ping`` are
-#: moot on the scalar legs: with no FleetArray the round query declines
-#: and ``serve_round`` serves per client either way.)
-#: Shard counts the per-shard-count scaling leg times (1 = the serial
-#: reference path: ``state_shards=1`` builds no sharded facade at all).
-STATE_SHARD_COUNTS = (1, 2, 4)
-
+#: ``vector_indexed`` is the default configuration;
+#: ``vector_perclient`` turns ``use_batched_ping`` off — the batched
+#: serving A/B pair; ``scalar_indexed`` is the spatial-index-only
+#: configuration; ``scalar_brute`` is the seed behaviour.  (``use_batched_ping`` is moot on the scalar
+#: legs: with no FleetArray the round query declines and
+#: ``serve_round`` serves per client either way.)
 LEGS: Dict[str, Dict[str, object]] = {
-    "vector_parallel": {
-        "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": True,
-        "parallel_workers": PARALLEL_WORKERS,
-        "use_sharded_state": True, "state_shards": PARALLEL_WORKERS,
-    },
     "vector_indexed": {
         "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": False,
-        "use_sharded_state": False,
+        "use_batched_ping": True,
     },
     "vector_perclient": {
         "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": False, "use_parallel_ping": False,
-        "use_sharded_state": False,
+        "use_batched_ping": False,
     },
     "scalar_indexed": {
         "use_spatial_index": True, "use_vectorized_step": False,
-        "use_batched_ping": True, "use_parallel_ping": False,
-        "use_sharded_state": False,
+        "use_batched_ping": True,
     },
     "vector_brute": {
         "use_spatial_index": False, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": False,
-        "use_sharded_state": False,
+        "use_batched_ping": True,
     },
     "scalar_brute": {
         "use_spatial_index": False, "use_vectorized_step": False,
-        "use_batched_ping": False, "use_parallel_ping": False,
-        "use_sharded_state": False,
+        "use_batched_ping": False,
     },
 }
-# The per-shard-count scaling legs: the PR 4/5 serving configuration
-# held fixed, only the state-shard count varying, so the
-# engine_ticks_per_s column isolates how the tick itself scales.
-for _shards in STATE_SHARD_COUNTS:
-    LEGS[f"sharded_state_{_shards}"] = {
-        "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": False,
-        "use_sharded_state": True, "state_shards": _shards,
-    }
 
-#: The process-executor metro leg: ~100k drivers (Manhattan seeds 327
-#: drivers per scale unit, so 306x = 100 062) ticked bare under each
-#: executor.  Quick mode shrinks the metro but still forces the pool
-#: paths by dropping the shard-row floor to 1.
-EXECUTOR_SCALE_FULL = 306
-EXECUTOR_SCALE_QUICK = 4
-EXECUTOR_TICKS_FULL = 40
-EXECUTOR_TICKS_QUICK = 6
-EXECUTOR_SHARDS = 4
-
-#: Every flag combination, for the equivalence check (thirty-two
-#: combos).  Sharded combos are run with ``state_shards`` forced to 3
-#: (see ``check_equivalence``); the {1, 2, 4, 7} shard-count sweep
-#: lives in tests/test_sharded_state.py.
+#: Every flag combination, for the equivalence check (eight combos;
+#: the last is all flags off, the seed behaviour).
 ALL_COMBOS: List[Dict[str, bool]] = [
     {
         "use_spatial_index": bool(spatial),
         "use_vectorized_step": bool(vec),
         "use_batched_ping": bool(batched),
-        "use_parallel_ping": bool(parallel),
-        "use_sharded_state": bool(sharded),
     }
     for spatial in (True, False)
     for vec in (True, False)
     for batched in (True, False)
-    for parallel in (True, False)
-    for sharded in (True, False)
 ]
 
 
@@ -287,103 +207,20 @@ def _timed_campaign(
     }
 
 
-def _timed_executor_ticks(
-    scale: int, ticks: int, seed: int, mode: str
-) -> Dict[str, float]:
-    """Bare engine ticks/s for one executor mode of the metro leg.
-
-    ``serial`` is the unsharded reference; ``thread``/``process`` force
-    ``EXECUTOR_SHARDS`` stripes through the named executor with the
-    shard-row floor dropped to 1 so the pool path runs at every scale.
-    """
-    cfg = scenario_config(scale)
-    kwargs: Dict[str, object] = {
-        "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": False,
-    }
-    if mode == "serial":
-        kwargs["use_sharded_state"] = False
-    else:
-        cfg = dataclasses.replace(
-            cfg, parallel=ParallelParams(min_shard_rows=1)
-        )
-        kwargs.update(
-            use_sharded_state=True,
-            state_shards=EXECUTOR_SHARDS,
-            shard_executor=mode,
-        )
-    engine = MarketplaceEngine(cfg, seed=seed, **kwargs)
-    for _ in range(WARMUP_TICKS):
-        engine.tick()
-    t0 = time.perf_counter()
-    for _ in range(ticks):
-        engine.tick()
-    wall = time.perf_counter() - t0
-    drivers = sum(cfg.fleet.values())
-    engine.close()
-    return {
-        "drivers": float(drivers),
-        "engine_ticks_per_s": ticks / wall if wall else float("inf"),
-    }
-
-
-def _timed_executor_leg(quick: bool, seed: int) -> Dict[str, object]:
-    """The tentpole A/B/C: serial vs thread vs process engine ticks on
-    the big metro.  One warm engine per mode, closed after timing so no
-    shared segment outlives its leg."""
-    scale = EXECUTOR_SCALE_QUICK if quick else EXECUTOR_SCALE_FULL
-    ticks = EXECUTOR_TICKS_QUICK if quick else EXECUTOR_TICKS_FULL
-    modes = {
-        mode: _timed_executor_ticks(scale, ticks, seed, mode)
-        for mode in ("serial", "thread", "process")
-    }
-    rate = {m: r["engine_ticks_per_s"] for m, r in modes.items()}
-    return {
-        "scale": scale,
-        "drivers": modes["serial"]["drivers"],
-        "shards": EXECUTOR_SHARDS,
-        "ticks_measured": ticks,
-        "engine_ticks_per_s": rate,
-        "speedup": {
-            "thread_vs_serial": rate["thread"] / rate["serial"],
-            "process_vs_serial": rate["process"] / rate["serial"],
-            "process_vs_thread": rate["process"] / rate["thread"],
-        },
-    }
-
-
 def check_equivalence(
     scale: int = 1, ticks: int = 60, seed: int = 11
 ) -> bool:
-    """Same seed, all thirty-two flag combos: truth, trips, ping
-    replies, and engine RNG state must be bit-identical across every
-    leg.
+    """Same seed, all eight flag combos: truth, trips, ping replies,
+    and engine RNG state must be bit-identical across every leg.
 
     Rounds are served through ``serve_round`` so the batched and
     per-client paths are compared reply-for-reply; one extra direct
     ``ping`` per round pins the batch path to the single-ping entry
-    point as well.  Parallel combos force three workers and sharded
-    combos three state stripes, both with one-element/one-row shard
-    floors, so the threaded merge paths actually run at this toy scale
-    (auto-sizing would serve such small work inline).
+    point as well.
     """
-    def run(flags: Dict[str, bool], executor: Optional[str] = None):
+    def run(flags: Dict[str, bool]):
         cfg = scenario_config(scale)
-        kwargs: Dict[str, object] = dict(flags)
-        if flags.get("use_parallel_ping") or flags.get("use_sharded_state"):
-            cfg = dataclasses.replace(
-                cfg,
-                parallel=ParallelParams(
-                    min_shard_elements=1, min_shard_rows=1
-                ),
-            )
-        if flags.get("use_parallel_ping"):
-            kwargs["parallel_workers"] = 3
-        if flags.get("use_sharded_state"):
-            kwargs["state_shards"] = 3
-        if executor is not None:
-            kwargs["shard_executor"] = executor
-        engine = MarketplaceEngine(cfg, seed=seed, **kwargs)
+        engine = MarketplaceEngine(cfg, seed=seed, **flags)
         endpoint = PingEndpoint(engine)
         clients = list(place_clients(cfg.region, max_clients=8))
         requests = [(f"eq{i}", loc, None) for i, loc in enumerate(clients)]
@@ -403,13 +240,7 @@ def check_equivalence(
         return result
 
     reference = run(ALL_COMBOS[-1])  # all flags off: seed behaviour
-    if not all(run(flags) == reference for flags in ALL_COMBOS[:-1]):
-        return False
-    # The thirty-third run: the all-flags-on combo again but with the
-    # stripes in shared-memory worker processes.  ``shard_executor`` is
-    # a string knob outside the use_* matrix, yet bound by the same
-    # contract — the executor must never reach the bits.
-    return run(ALL_COMBOS[0], executor="process") == reference
+    return all(run(flags) == reference for flags in ALL_COMBOS[:-1])
 
 
 def _timed_sweep(quick: bool, seed: int) -> Dict[str, object]:
@@ -435,7 +266,7 @@ def _timed_sweep(quick: bool, seed: int) -> Dict[str, object]:
         for city in ("manhattan", "sf")
         for s in (seed, seed + 1)
     ]
-    jobs = min(PARALLEL_WORKERS, os.cpu_count() or 1)
+    jobs = min(SWEEP_JOBS, os.cpu_count() or 1)
     t0 = time.perf_counter()
     sequential = run_sweep(specs, jobs=1)
     sequential_s = time.perf_counter() - t0
@@ -487,36 +318,11 @@ def run_bench(
         scale=1, ticks=30 if quick else 60, seed=seed + 8
     )
     sweep = _timed_sweep(quick, seed + 100)
-    executor_leg = _timed_executor_leg(quick, seed + 40)
     vec, sca = legs["vector_indexed"], legs["scalar_indexed"]
-    par = legs["vector_parallel"]
     perclient = legs["vector_perclient"]
     seed_leg = legs["scalar_brute"]
     cores = os.cpu_count() or 1
-    # The per-shard-count scaling curve: bare engine ticks/s by
-    # state-shard count, serving configuration held fixed.
-    sharded_scaling = {
-        str(shards): legs[f"sharded_state_{shards}"]["engine_ticks_per_s"]
-        for shards in STATE_SHARD_COUNTS
-    }
     speedup = {
-        # The PR 7 headline: the 2-stripe sharded tick vs the
-        # serial-state reference (target: >= 1.4x on >= 2 cores).
-        "sharded_2shard_vs_serial_engine_ticks": (
-            legs["sharded_state_2"]["engine_ticks_per_s"]
-            / legs["sharded_state_1"]["engine_ticks_per_s"]
-        ),
-        # The process-executor headline: the big-metro tick in
-        # shared-memory worker processes vs serial (target: >= 1.3x on
-        # >= 4 cores — below that fork+pickle overhead wins).
-        "process_vs_serial_engine_ticks": (
-            executor_leg["speedup"]["process_vs_serial"]
-        ),
-        # The PR 5 headline: sharded round serving (4 forced workers)
-        # vs the single-thread batched path (target: >= 1.3x, >=4 cores).
-        "parallel_vs_serial_ping_rounds": (
-            par["ping_rounds_per_s"] / vec["ping_rounds_per_s"]
-        ),
         # The orchestrator headline: 4-campaign sweep, parallel vs
         # sequential (target: >= 2x on >= 4 cores).
         "sweep_parallel_vs_sequential": sweep["speedup"],
@@ -543,26 +349,13 @@ def run_bench(
         ),
     }
     # Regression thresholds, recorded alongside the numbers they bound.
-    # Thread/process speedups are physical claims about multi-core
-    # machines; on smaller boxes (and in --quick mode, whose tiny slices
-    # are noise-dominated) they are recorded but not enforced.
-    multicore = cores >= PARALLEL_WORKERS
+    # The sweep speedup is a physical claim about multi-core machines;
+    # on smaller boxes (and in --quick mode, whose tiny slices are
+    # noise-dominated) it is recorded but not enforced.
     thresholds = {
-        "sharded_2shard_vs_serial_engine_ticks": {
-            "min": 1.4, "enforced": cores >= 2 and not quick,
-            "shards": 2,
-        },
-        "process_vs_serial_engine_ticks": {
-            "min": 1.3, "enforced": multicore and not quick,
-            "shards": EXECUTOR_SHARDS,
-            "drivers": executor_leg["drivers"],
-        },
-        "parallel_vs_serial_ping_rounds": {
-            "min": 1.3, "enforced": multicore and not quick,
-            "workers": PARALLEL_WORKERS,
-        },
         "sweep_parallel_vs_sequential": {
-            "min": 2.0, "enforced": multicore and not quick,
+            "min": 2.0,
+            "enforced": cores >= SWEEP_JOBS and not quick,
             "jobs": sweep["jobs"],
         },
         "batched_vs_perclient_ping_rounds": {
@@ -586,8 +379,6 @@ def run_bench(
         ),
         "legs": legs,
         "sweep": sweep,
-        "sharded_scaling": sharded_scaling,
-        "sharded_executor": executor_leg,
         "speedup": speedup,
         "thresholds": thresholds,
         "truth_equivalent": equivalent,
@@ -632,22 +423,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{name} {legs[name][key]:8.2f}" for name in LEGS
             )
         )
-    lines.append(
-        "sharded scaling (engine ticks/s by state_shards): "
-        + "  ".join(
-            f"{shards}: {rate:8.2f}"
-            for shards, rate in result["sharded_scaling"].items()
-        )
-    )
-    executor_leg = result["sharded_executor"]
-    lines.append(
-        f"executor metro ({executor_leg['drivers']:.0f} drivers, "
-        f"{executor_leg['shards']} shards, engine ticks/s): "
-        + "  ".join(
-            f"{mode}: {rate:8.2f}"
-            for mode, rate in executor_leg["engine_ticks_per_s"].items()
-        )
-    )
     thresholds = result["thresholds"]
     threshold_failures: List[str] = []
     for name, value in result["speedup"].items():

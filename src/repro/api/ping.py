@@ -177,12 +177,7 @@ class PingEndpoint(PingServer):
         location (:meth:`MarketplaceEngine.round_query`), one batched
         point→area gather, and per-account jitter staleness resolved
         once per round — instead of N independent :meth:`ping` calls
-        re-deriving all three.  With ``use_parallel_ping`` the engine
-        additionally shards the distance-matrix pass across a worker
-        thread pool (per car type and location block, merged back in
-        serial order — see :mod:`repro.parallel.sharding`); the batch
-        handed back here is bit-identical either way.  Reply-for-reply
-        bit-identical to the per-client path (the flag-matrix tests
+        re-deriving all three.  Reply-for-reply bit-identical to the per-client path (the flag-matrix tests
         enforce it); falls back to it when the engine declines the
         batch query (``use_batched_ping`` off, or scalar step mode).
         """

@@ -18,8 +18,8 @@ Four subcommands mirror the study's workflow:
   process-pool sweep either way;
 * ``lint``     — static analysis over the source tree: the determinism
   rules (REP001-REP006) plus the concurrency/async hazard rules
-  (REP101-REP105); text, ``--format json``, or ``--format sarif``
-  reports, ``--explain REPxxx`` for rule docs; see
+  (REP101-REP103, REP105); text, ``--format json``, or
+  ``--format sarif`` reports, ``--explain REPxxx`` for rule docs; see
   ``docs/static_analysis.md``.
 
 Examples::
@@ -92,12 +92,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     if len(seeds) == 1 and args.jobs <= 1 and not cluster_mode:
         # Single campaign: the original in-process path, exactly.
         config = _config_for(args.city, args.jitter)
-        engine = MarketplaceEngine(
-            config,
-            seed=seeds[0],
-            state_shards=args.state_shards,
-            shard_executor=args.shard_executor,
-        )
+        engine = MarketplaceEngine(config, seed=seeds[0])
         positions = place_clients(config.region)
         fleet = Fleet(positions, car_types=[CarType.UBERX],
                       ping_interval_s=args.ping_interval)
@@ -131,14 +126,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
                 _seed_out_path(args.out, seed)
                 if len(seeds) > 1
                 else args.out
-            ),
-            engine_flags=tuple(
-                (name, value)
-                for name, value in (
-                    ("state_shards", args.state_shards),
-                    ("shard_executor", args.shard_executor),
-                )
-                if value is not None
             ),
         )
         for seed in seeds
@@ -210,8 +197,11 @@ def cmd_worker(args: argparse.Namespace) -> int:
             print(f"worker: dialing dispatcher at {args.connect} "
                   f"(jobs={jobs_label})", file=sys.stderr)
             count = run_worker_connect(args.connect, jobs=args.jobs)
-            print(f"worker: sweep done, ran {count} campaign(s)",
-                  file=sys.stderr)
+            if count is None:
+                print("worker: shutting down", file=sys.stderr)
+            else:
+                print(f"worker: sweep done, ran {count} campaign(s)",
+                      file=sys.stderr)
         else:
             # The "listening on" line goes to stdout un-buffered: the
             # cluster bench and smoke scripts parse it to learn the
@@ -224,6 +214,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
                     flush=True,
                 ),
             )
+            print("worker: shutting down", file=sys.stderr)
     except KeyboardInterrupt:
         print("worker: shutting down", file=sys.stderr)
     return 0
@@ -502,21 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
              "see repro.parallel.orchestrator)",
     )
     measure.add_argument(
-        "--state-shards", type=int, default=None,
-        help="spatial shards for the fleet-state tick (default: auto = "
-             "min(4, cores); 1 forces the serial reference path; any "
-             "count is bit-identical — see repro.parallel.partition)",
-    )
-    measure.add_argument(
-        "--shard-executor", choices=("thread", "process"), default=None,
-        help="stripe executor for the sharded fleet-state tick: "
-             "'thread' (default) shares the engine's worker thread "
-             "pool; 'process' runs stripes in worker processes over "
-             "shared-memory arrays — past-the-GIL scaling for "
-             "100k-driver metros, bit-identical either way (see "
-             "repro.parallel.shm)",
-    )
-    measure.add_argument(
         "--workers", default=None, metavar="HOST:PORT[,HOST:PORT...]",
         help="dispatch the sweep to listening `repro worker` processes "
              "over TCP instead of the local process pool — outcomes "
@@ -642,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static analysis: determinism (REP001-REP006) and "
-             "concurrency/async hazards (REP101-REP105)",
+             "concurrency/async hazards (REP101-REP103, REP105)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],

@@ -1,4 +1,4 @@
-"""The concurrency & async hazard rules (REP101-REP105).
+"""The concurrency & async hazard rules (REP101-REP103, REP105).
 
 A second analysis pass over the same driver as the determinism rules
 (``repro.devtools.lint``): same suppression grammar, same REP000
@@ -16,10 +16,6 @@ concurrency bug this repo actually shipped and later fixed by hand:
   collected mid-flight.
 * REP103 — blocking primitives inside ``async def`` in the service
   layer: one ``time.sleep`` stalls every connection on the loop.
-* REP104 — the ``_move_rows`` disjoint-write contract: functions
-  dispatched to ``ShardPool``/executor threads may write shared numpy
-  arrays only through indices derived from their own parameters, so
-  concurrent shards can never overlap.
 * REP105 — executor futures whose exceptions are silently dropped: a
   ``submit()`` result that nobody ever ``.result()``s or awaits
   swallows worker tracebacks whole.
@@ -33,7 +29,6 @@ from __future__ import annotations
 
 import ast
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -54,14 +49,9 @@ from repro.devtools.rules import (
 )
 from repro.devtools.scopes import (
     EVENT_LOOP_GUARD,
-    AnyFunctionDef,
     _own_nodes,
-    attribute_aliases,
     collect_class_scopes,
     nodes_with_guards,
-    param_derived,
-    param_names,
-    worker_functions,
 )
 
 _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -372,163 +362,6 @@ class BlockingCallInAsync(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP104 — shard-write disjointness
-# ----------------------------------------------------------------------
-#: In-place mutators on shared containers/arrays a worker must not call.
-_MUTATORS = {
-    "append",
-    "appendleft",
-    "extend",
-    "insert",
-    "add",
-    "update",
-    "clear",
-    "pop",
-    "popleft",
-    "popitem",
-    "remove",
-    "discard",
-    "setdefault",
-    "sort",
-    "fill",
-    "resize",
-}
-
-
-class ShardWriteDisjointness(Rule):
-    code = "REP104"
-    name = "shard-write-disjointness"
-    summary = (
-        "functions dispatched to ShardPool/executor threads may write "
-        "shared arrays only through indices derived from their own "
-        "parameters (the _move_rows disjoint-write contract); "
-        "whole-array writes, attribute rebinding, and container "
-        "mutation from workers race with other shards"
-    )
-
-    def check(self, module: ModuleContext) -> Iterator[RawFinding]:
-        for fn in worker_functions(module.tree):
-            yield from self._check_worker(fn)
-
-    def _check_worker(self, fn: AnyFunctionDef) -> Iterator[RawFinding]:
-        derived = param_derived(fn)
-        aliases = attribute_aliases(fn)
-        own = list(_own_nodes(fn))
-        bound = set(param_names(fn)) | {"self", "cls"}
-        for node in own:
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name) and isinstance(
-                            sub.ctx, ast.Store
-                        ):
-                            bound.add(sub.id)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                for sub in ast.walk(node.target):
-                    if isinstance(sub, ast.Name):
-                        bound.add(sub.id)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if item.optional_vars is not None:
-                        for sub in ast.walk(item.optional_vars):
-                            if isinstance(sub, ast.Name):
-                                bound.add(sub.id)
-
-        def shared_desc(base: ast.expr) -> Optional[str]:
-            """Describe *base* if it points at shared memory."""
-            if isinstance(base, ast.Attribute):
-                tokens = attr_tokens(base)
-                return ".".join(tokens) if tokens else "<attribute>"
-            if isinstance(base, ast.Name):
-                if base.id in aliases:
-                    return base.id
-                if base.id not in bound:
-                    return base.id  # captured global/closure name
-            return None
-
-        def index_is_derived(index: ast.expr) -> bool:
-            return any(
-                isinstance(sub, ast.Name) and sub.id in derived
-                for sub in ast.walk(index)
-            )
-
-        for node in own:
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                if isinstance(node, ast.AnnAssign) and node.value is None:
-                    continue
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    yield from self._check_store(
-                        fn, target, shared_desc, index_is_derived
-                    )
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr not in _MUTATORS:
-                    continue
-                desc = shared_desc(node.func.value)
-                if desc is not None:
-                    yield RawFinding(
-                        node.lineno,
-                        node.col_offset,
-                        f"worker `{fn.name}` mutates shared "
-                        f"`{desc}.{node.func.attr}(...)`: in-place "
-                        "container mutation from executor threads "
-                        "races with other shards; return results and "
-                        "merge on the dispatching thread",
-                    )
-
-    def _check_store(
-        self,
-        fn: AnyFunctionDef,
-        target: ast.expr,
-        shared_desc: Callable[[ast.expr], Optional[str]],
-        index_is_derived: Callable[[ast.expr], bool],
-    ) -> Iterator[RawFinding]:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                yield from self._check_store(
-                    fn, element, shared_desc, index_is_derived
-                )
-            return
-        if isinstance(target, ast.Subscript):
-            desc = shared_desc(target.value)
-            if desc is None:
-                return
-            if not index_is_derived(target.slice):
-                yield RawFinding(
-                    target.lineno,
-                    target.col_offset,
-                    f"worker `{fn.name}` writes shared array "
-                    f"`{desc}[...]` with an index not derived from its "
-                    "parameters: concurrent shards may write "
-                    "overlapping rows (the _move_rows disjoint-write "
-                    "contract requires param-derived row slices)",
-                )
-        elif isinstance(target, ast.Attribute):
-            tokens = attr_tokens(target)
-            desc = ".".join(tokens) if tokens else "<attribute>"
-            yield RawFinding(
-                target.lineno,
-                target.col_offset,
-                f"worker `{fn.name}` rebinds shared attribute "
-                f"`{desc}`: executor threads share the instance, so "
-                "attribute stores race with every other shard; write "
-                "into param-derived row slices or merge on the "
-                "dispatching thread",
-            )
-
-
-# ----------------------------------------------------------------------
 # REP105 — silently dropped future exceptions
 # ----------------------------------------------------------------------
 class _FutureMatcher(_CallMatcher):
@@ -556,7 +389,7 @@ class DroppedFutureException(Rule):
         "executor.submit / run_in_executor futures must be kept and "
         "consumed (.result(), await, or add_done_callback): a "
         "discarded future swallows the worker's exception, so a "
-        "crashed shard looks like a healthy one"
+        "crashed worker looks like a healthy one"
     )
 
     def check(self, module: ModuleContext) -> Iterator[RawFinding]:
@@ -577,7 +410,6 @@ CONCURRENCY_RULES: List[Type[Rule]] = [
     GuardedAttributeDiscipline,
     WeakTaskReference,
     BlockingCallInAsync,
-    ShardWriteDisjointness,
     DroppedFutureException,
 ]
 
@@ -601,7 +433,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro lint-concurrency",
         description=(
             "Concurrency & async hazard analyzer: lock discipline, "
-            "task lifetime, and shard-write safety (REP101-REP105)"
+            "task lifetime, blocking calls on the event loop, and "
+            "dropped futures (REP101-REP103, REP105)"
         ),
     )
 

@@ -2,8 +2,8 @@
 
 Two analysis passes share this driver: the determinism rules
 (REP001-REP006, ``repro.devtools.rules``) and the concurrency/async
-hazard rules (REP101-REP105, ``repro.devtools.concurrency``).  Run it
-three ways::
+hazard rules (REP101-REP103, REP105,
+``repro.devtools.concurrency``).  Run it three ways::
 
     repro lint src/                       # CLI subcommand (both passes)
     python -m repro.devtools.lint src/    # module entry point
@@ -53,7 +53,7 @@ from repro.devtools.rules import (
 )
 
 #: Both analysis passes: determinism (REP001-REP006) + concurrency
-#: (REP101-REP105).  `repro lint` runs everything; the standalone
+#: (REP101-REP103, REP105).  `repro lint` runs everything; the standalone
 #: concurrency entry point (`make lint-concurrency`) passes
 #: CONCURRENCY_RULES alone.
 ALL_LINT_RULES: List[Type[Rule]] = list(ALL_RULES) + list(
@@ -465,7 +465,7 @@ def run_cli(
     prog: str = "repro lint",
     description: str = (
         "Static analysis: determinism (REP001-REP006) and "
-        "concurrency/async hazards (REP101-REP105)"
+        "concurrency/async hazards (REP101-REP103, REP105)"
     ),
 ) -> int:
     """Shared CLI driver for both entry points.

@@ -85,63 +85,6 @@ class BurstParams:
 
 
 @dataclass(frozen=True)
-class ParallelParams:
-    """Sharded round-serving knobs (see :mod:`repro.parallel.sharding`).
-
-    Pure speed controls: whatever the values, served rounds are
-    bit-identical to the serial pass (tier-1 enforced), so these tune
-    throughput only.
-    """
-
-    #: Worker threads for the engine's shard pool.  ``None`` resolves to
-    #: ``min(4, cpu_count)`` at engine construction; ``1`` forces the
-    #: serial path.  An explicit ``parallel_workers`` engine argument
-    #: overrides this.
-    workers: int | None = None
-    #: Minimum distance-matrix entries per shard — rounds smaller than
-    #: this are served inline (thread dispatch would cost more than the
-    #: kernel), and segments are never split finer than this floor.
-    min_shard_elements: int = 32768
-    #: Spatial shards for the fleet *state* tick (repro.parallel
-    #: .partition + ShardedFleetState).  ``None`` resolves to
-    #: ``min(4, cpu_count)`` at engine construction; ``1`` forces the
-    #: serial reference path.  An explicit ``state_shards`` engine
-    #: argument overrides this.
-    state_shards: int | None = None
-    #: Minimum mover rows before a tick is split across state shards —
-    #: below this the whole tick runs inline (shard dispatch would cost
-    #: more than the kernel).  Tests force ``1`` to exercise the merge
-    #: path at toy scale.
-    min_shard_rows: int = 2048
-    #: Executor for the state-shard stripes: ``"thread"`` runs them on
-    #: the engine's worker thread pool (the GIL-releasing ufuncs give
-    #: real parallelism with zero setup), ``"process"`` runs them in
-    #: worker processes over a shared-memory segment
-    #: (:mod:`repro.parallel.shm`) — past-the-GIL scaling for
-    #: 100k-driver metros.  Like every parallel knob this is a pure
-    #: speed control: both executors are bit-identical to the serial
-    #: kernel at every shard count.  An explicit ``shard_executor``
-    #: engine argument overrides this.
-    shard_executor: str = "thread"
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for auto)")
-        if self.min_shard_elements < 1:
-            raise ValueError("min_shard_elements must be >= 1")
-        if self.state_shards is not None and self.state_shards < 1:
-            raise ValueError(
-                "state_shards must be >= 1 (or None for auto)"
-            )
-        if self.min_shard_rows < 1:
-            raise ValueError("min_shard_rows must be >= 1")
-        if self.shard_executor not in ("thread", "process"):
-            raise ValueError(
-                "shard_executor must be 'thread' or 'process'"
-            )
-
-
-@dataclass(frozen=True)
 class CityConfig:
     """Everything the engine needs to simulate one city."""
 
@@ -158,8 +101,6 @@ class CityConfig:
     jitter: JitterParams
     start_weekday: int = 0
     burst: BurstParams = BurstParams()
-    #: Sharded round-serving knobs (speed only, never behaviour).
-    parallel: ParallelParams = ParallelParams()
     #: Weight of a priced-out (non-converted) request in the surge
     #: engine's demand signal.  Converted requests weigh 1.0; the
     #: operator still *sees* walked-away riders (app opens, declined

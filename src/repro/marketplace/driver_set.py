@@ -65,8 +65,6 @@ class DriverSetPricingEngine(MarketplaceEngine):
         use_spatial_index: bool = True,
         use_vectorized_step: bool = True,
         use_batched_ping: bool = True,
-        use_parallel_ping: bool = True,
-        parallel_workers: Optional[int] = None,
     ) -> None:
         super().__init__(
             config,
@@ -74,8 +72,6 @@ class DriverSetPricingEngine(MarketplaceEngine):
             use_spatial_index=use_spatial_index,
             use_vectorized_step=use_vectorized_step,
             use_batched_ping=use_batched_ping,
-            use_parallel_ping=use_parallel_ping,
-            parallel_workers=parallel_workers,
         )
         self.pricing = pricing if pricing is not None else DriverSetParams()
 

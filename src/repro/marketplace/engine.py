@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -38,40 +37,13 @@ from repro.marketplace.clock import SimClock
 from repro.marketplace.config import CityConfig
 from repro.marketplace.dispatch import Dispatcher
 from repro.marketplace.driver import Driver, DriverState, Trip
-from repro.marketplace.fleet_array import (
-    FleetArray,
-    RoundNearest,
-    ShardedFleetState,
-    _shm_attach_worker,
-)
+from repro.marketplace.fleet_array import FleetArray, RoundNearest
 from repro.marketplace.rider import DemandModel, RideRequest, _poisson
 from repro.marketplace.surge import SurgeEngine
 from repro.marketplace.jitter import JitterBug
 from repro.marketplace.types import FARE_TABLE, CarType
-from repro.parallel.partition import GridPartition, resolve_state_shards
-from repro.parallel.sharding import ShardPool, resolve_workers
-from repro.parallel.shm import ProcessShardPool, SharedArrayBlock
 
 METERS_PER_MILE = 1609.344
-
-
-def _release_parallel_resources(
-    block: Optional[SharedArrayBlock],
-    process_pool: Optional[ProcessShardPool],
-    thread_pool: Optional[ShardPool],
-) -> None:
-    """Tear down an engine's parallel machinery: worker pools first,
-    then the shared segment (workers must be gone before the creator
-    unmaps).  Runs from :meth:`MarketplaceEngine.close` or from the
-    engine's ``weakref.finalize`` — it must not reference the engine
-    itself, or the finalizer would keep it alive forever."""
-    if process_pool is not None:
-        process_pool.shutdown()
-    if thread_pool is not None:
-        thread_pool.shutdown()
-    if block is not None:
-        block.close()
-        block.unlink()
 
 
 @dataclass
@@ -119,11 +91,6 @@ class MarketplaceEngine:
         use_spatial_index: bool = True,
         use_vectorized_step: bool = True,
         use_batched_ping: bool = True,
-        use_parallel_ping: bool = True,
-        parallel_workers: Optional[int] = None,
-        use_sharded_state: bool = True,
-        state_shards: Optional[int] = None,
-        shard_executor: Optional[str] = None,
     ) -> None:
         self.config = config
         self.use_spatial_index = use_spatial_index
@@ -131,96 +98,12 @@ class MarketplaceEngine:
         # Batched round serving (PingEndpoint.serve_round answers a whole
         # fleet's ping round from one FleetArray.round_nearest pass).
         # Like the other flags it must only ever change speed: all
-        # sixteen flag combinations produce bit-identical ping replies,
+        # eight flag combinations produce bit-identical ping replies,
         # truth logs, trip ledgers, and RNG state (enforced in tier-1 by
         # the tests/test_perf_regression.py flag matrix).  It only takes
         # effect on the vectorized step path; scalar engines serve
         # per-client regardless (see round_query).
         self.use_batched_ping = use_batched_ping
-        # Sharded round serving: the batched pass's per-(car type,
-        # location-block) distance kernels run on a worker thread pool
-        # (repro.parallel.sharding) and merge back in serial order —
-        # bit-identical by construction (read-only shared inputs,
-        # elementwise kernels, deterministic merge, no RNG on the
-        # serving path).  `parallel_workers` overrides
-        # config.parallel.workers; None resolves to min(4, cpu_count),
-        # so single-core machines stay on the serial path at zero cost.
-        # Only meaningful on top of the batched vectorized path.
-        self.use_parallel_ping = use_parallel_ping
-        resolved_workers = resolve_workers(
-            parallel_workers
-            if parallel_workers is not None
-            else config.parallel.workers
-        )
-        self.parallel_workers = resolved_workers
-        # Sharded fleet state: the tick's movement kernel (and the
-        # observe census) runs per spatial stripe (repro.parallel
-        # .partition + ShardedFleetState).  Shards are assigned by
-        # pre-move position, write disjoint rows of the shared arrays,
-        # and merge serially in ascending stripe order — bit-identical
-        # at every shard count because the kernel is elementwise and no
-        # shard ever consumes RNG (the ordered draw loop runs after the
-        # merge).  `state_shards` overrides config.parallel.state_shards;
-        # None resolves to min(4, cpu_count), so single-core machines
-        # keep the serial reference path at zero cost.  Only meaningful
-        # on the vectorized step path.
-        self.use_sharded_state = use_sharded_state
-        resolved_shards = resolve_state_shards(
-            state_shards
-            if state_shards is not None
-            else config.parallel.state_shards
-        )
-        self.state_shards = resolved_shards
-        # Stripe executor for the sharded state tick: "thread" (the
-        # default) runs stripes on the shared thread pool below;
-        # "process" runs them in worker processes over a shared-memory
-        # segment (repro.parallel.shm) — past-the-GIL scaling for
-        # 100k-driver metros.  A pure speed control like every other
-        # parallel knob: both executors reproduce the serial kernel
-        # bit for bit at every shard count (tier-1 enforced).
-        effective_executor = (
-            shard_executor
-            if shard_executor is not None
-            else config.parallel.shard_executor
-        )
-        if effective_executor not in ("thread", "process"):
-            raise ValueError(
-                "shard_executor must be 'thread' or 'process'"
-            )
-        self.shard_executor = effective_executor
-        # One thread pool serves both parallel layers.  Round serving
-        # and the sharded state tick never overlap (they are phases of
-        # one serial tick loop), so separate pools could only
-        # oversubscribe: two auto-configured 4-worker pools on a
-        # 4-core host would contend, not cooperate.  The shared pool is
-        # sized for the larger of the two demands.
-        want_ping_pool = (
-            use_parallel_ping
-            and use_batched_ping
-            and use_vectorized_step
-            and resolved_workers > 1
-        )
-        want_state_shards = (
-            use_vectorized_step and use_sharded_state and resolved_shards > 1
-        )
-        shared_pool: Optional[ShardPool] = (
-            ShardPool(
-                max(
-                    resolved_workers if want_ping_pool else 1,
-                    resolved_shards if want_state_shards else 1,
-                ),
-                min_elements=config.parallel.min_shard_elements,
-            )
-            if (want_ping_pool or want_state_shards)
-            else None
-        )
-        self._shard_pool: Optional[ShardPool] = (
-            shared_pool if want_ping_pool else None
-        )
-        self._state_pool: Optional[ShardPool] = (
-            shared_pool if want_state_shards else None
-        )
-        self._process_pool: Optional[ProcessShardPool] = None
         # The per-driver PointIndex is only maintained on the scalar
         # step path: the vectorized path answers nearest-k queries
         # directly off the fleet arrays (identical (distance, id)
@@ -336,41 +219,8 @@ class MarketplaceEngine:
         # repro.marketplace.fleet_array).  Attaching the FleetArray
         # turns Driver.location into a lazy array-backed view.
         self._vec: Optional[FleetArray] = None
-        self._sharded: Optional[ShardedFleetState] = None
-        use_process = (
-            effective_executor == "process" and want_state_shards
-        )
         if use_vectorized_step:
-            # Process executor: the kernel arrays go into one
-            # shared-memory segment at construction so stripe worker
-            # processes mutate the very pages the engine reads.  The
-            # engine creates the segment and alone unlinks it (close()
-            # below, backed by a finalizer); workers only attach.
-            self._vec = FleetArray(self.drivers, shared=use_process)
-            if want_state_shards:
-                state_pool = self._state_pool
-                assert state_pool is not None
-                if use_process:
-                    block = self._vec.shm_block
-                    assert block is not None
-                    self._process_pool = ProcessShardPool(
-                        resolved_shards,
-                        initializer=_shm_attach_worker,
-                        initargs=(block.name, block.specs),
-                    )
-                self._sharded = ShardedFleetState(
-                    self._vec,
-                    GridPartition(
-                        box.south,
-                        box.north,
-                        box.west,
-                        box.east,
-                        resolved_shards,
-                    ),
-                    state_pool,
-                    min_shard_rows=config.parallel.min_shard_rows,
-                    process_pool=self._process_pool,
-                )
+            self._vec = FleetArray(self.drivers)
             # Point→area resolution for the batched observe phase.  The
             # AreaIndex answers exactly like the brute first-match
             # polygon scan, so building one here is behaviour-neutral
@@ -415,30 +265,13 @@ class MarketplaceEngine:
         # first simulated hours aren't an artificial cold start.
         self._seed_initial_supply()
 
-        # Resource lifecycle: close() tears down the worker pools and
-        # the shared segment; the finalizer runs the same teardown when
-        # an engine is merely dropped, so a GC'd (or crashed-out-of)
-        # engine never leaks a /dev/shm segment.  The callback holds
-        # the resources directly, never the engine.
-        self._finalizer = weakref.finalize(
-            self,
-            _release_parallel_resources,
-            self._vec.shm_block if self._vec is not None else None,
-            self._process_pool,
-            shared_pool,
-        )
-
     def close(self) -> None:
-        """Release the engine's parallel resources (idempotent).
+        """End-of-run hook; a no-op.
 
-        Shuts the worker pools down and unlinks the shared-memory
-        segment (process executor).  The engine object itself remains
-        inspectable — truth logs, trips, drivers — but must not tick
-        again.  Dropping an engine without calling this is safe too:
-        the registered finalizer performs the identical teardown at
-        collection time.
+        The engine is one serial path holding only heap state, so there
+        is nothing to release.  Campaign runners, benchmarks and the CLI
+        call it when a run ends, and it stays so they remain valid.
         """
-        self._finalizer()
 
     # ------------------------------------------------------------------
     # Supply management
@@ -723,9 +556,7 @@ class MarketplaceEngine:
         """
         if not self.use_batched_ping or self._vec is None:
             return None
-        return self._vec.round_nearest(
-            lats, lons, k, car_types, pool=self._shard_pool
-        )
+        return self._vec.round_nearest(lats, lons, k, car_types)
 
     def round_prefetch_views(self, rows: Sequence[int]) -> None:
         """Bulk-warm object-side caches for the rows a round will view.
@@ -995,12 +826,7 @@ class MarketplaceEngine:
         vec = self._vec
         rng = self.rng
         decision_p = dt / self.config.driver.cruise_decision_s
-        sharded = self._sharded
-        masks = (
-            sharded.begin_step(now, dt)
-            if sharded is not None
-            else vec.begin_step(now, dt)
-        )
+        masks = vec.begin_step(now, dt)
         wobble = masks.wobble
         cruise_arrived = masks.cruise_arrived
         completed = masks.completed
@@ -1178,21 +1004,15 @@ class MarketplaceEngine:
         area-list order as the scalar loop.
         """
         vec = self._vec
-        sharded = self._sharded
         area_list = self._area_list
         idle_x = vec.idle_rows(CarType.UBERX)
         if area_list:
-            if sharded is not None:
-                counts = sharded.area_counts(
-                    idle_x, self._vec_area, len(area_list)
-                )
-            else:
-                codes = self._vec_area.locate_codes(
-                    vec.lat[idle_x], vec.lon[idle_x]
-                )
-                counts = np.bincount(
-                    codes[codes >= 0], minlength=len(area_list)
-                )
+            codes = self._vec_area.locate_codes(
+                vec.lat[idle_x], vec.lon[idle_x]
+            )
+            counts = np.bincount(
+                codes[codes >= 0], minlength=len(area_list)
+            )
             for i, area in enumerate(area_list):
                 area_id = area.area_id
                 count = int(counts[i])
@@ -1202,20 +1022,15 @@ class MarketplaceEngine:
             if idle_x.size:
                 cla = self._centroid_lat
                 clo = self._centroid_lon
-                if sharded is not None:
-                    j, dmin = sharded.nearest_to_centroids(
-                        idle_x, cla, clo
-                    )
-                else:
-                    la = vec.lat[idle_x]
-                    lo = vec.lon[idle_x]
-                    x = np.radians(clo[:, None] - lo[None, :]) * np.cos(
-                        np.radians((la[None, :] + cla[:, None]) / 2.0)
-                    )
-                    y = np.radians(cla[:, None] - la[None, :])
-                    dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-                    j = np.argmin(dist, axis=1)
-                    dmin = dist[np.arange(len(area_list)), j]
+                la = vec.lat[idle_x]
+                lo = vec.lon[idle_x]
+                x = np.radians(clo[:, None] - lo[None, :]) * np.cos(
+                    np.radians((la[None, :] + cla[:, None]) / 2.0)
+                )
+                y = np.radians(cla[:, None] - la[None, :])
+                dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
+                j = np.argmin(dist, axis=1)
+                dmin = dist[np.arange(len(area_list)), j]
                 seconds = (
                     dmin / vec.speed[idle_x[j]]
                     + self.dispatcher.pickup_overhead_s

@@ -1,26 +1,7 @@
-"""Parallel execution layer: sharded round serving + campaign sweeps.
+"""Parallel execution layer: campaign sweeps, local and across hosts.
 
-Two coordinated pieces, both pure speed — never behaviour:
-
-* :mod:`repro.parallel.sharding` — a worker thread pool
-  (:class:`ShardPool`) that executes the per-(fleet, car-type) distance
-  kernels of a batched ping round concurrently.  The numpy kernels
-  release the GIL, each shard's floats are computed with the exact
-  elementwise arithmetic of the serial pass, and the merge reassembles
-  results in the serial path's order — so ``use_parallel_ping`` joins
-  the engine's bit-identity flag matrix (``use_spatial_index`` ×
-  ``use_vectorized_step`` × ``use_batched_ping`` × ``use_parallel_ping``,
-  sixteen combos, all bit-identical; tier-1 enforced).
-
-* :mod:`repro.parallel.partition` — the deterministic stripe grid
-  (:class:`GridPartition`) that cuts the fleet's own state arrays into
-  per-grid-block row shards so :class:`ShardedFleetState` (in
-  ``repro.marketplace.fleet_array``) can run the movement kernel of a
-  tick concurrently.  Assignment is by *pre-move* position, the merge
-  visits shards in ascending stripe order, and the kernel is
-  elementwise — so ``use_sharded_state`` joins the same bit-identity
-  flag matrix at every shard count (tier-1 enforced for counts
-  {1, 2, 4, 7}).
+The engine itself is one serial path; the one parallel grain kept is
+whole independent campaigns.
 
 * :mod:`repro.parallel.orchestrator` — a process-pool runner for
   *independent* campaigns (multi-seed replications, dual-city runs,
@@ -42,24 +23,16 @@ Two coordinated pieces, both pure speed — never behaviour:
 
 from typing import Any
 
-from repro.parallel.partition import GridPartition, resolve_state_shards
-from repro.parallel.sharding import ShardPool, plan_shards, resolve_workers
-
 __all__ = [
-    "GridPartition",
-    "ShardPool",
-    "plan_shards",
-    "resolve_state_shards",
-    "resolve_workers",
-    # orchestrator/cluster names are re-exported lazily below to keep
-    # the marketplace -> sharding import light (the engine imports this
-    # package; the orchestrator imports the engine).
+    # Re-exported lazily below: importing the package stays free of the
+    # engine, which the orchestrator imports.
     "CampaignSpec",
     "CampaignOutcome",
     "run_sweep",
     "execute_campaign",
     "truth_digest",
     "ensure_unique_keys",
+    "resolve_workers",
     "SweepDispatcher",
     "ClusterWorker",
     "run_cluster_sweep",
@@ -73,6 +46,7 @@ _ORCHESTRATOR_NAMES = frozenset(
         "execute_campaign",
         "truth_digest",
         "ensure_unique_keys",
+        "resolve_workers",
     }
 )
 

@@ -40,11 +40,17 @@ so no locks are needed and the merge order is exactly spec order.
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
+import stat
+import threading
+import time
 import traceback as traceback_module
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import (
     Any,
+    Awaitable,
     Callable,
     Deque,
     Dict,
@@ -61,8 +67,8 @@ from repro.parallel.orchestrator import (
     CampaignSpec,
     ensure_unique_keys,
     execute_campaign,
+    resolve_workers,
 )
-from repro.parallel.sharding import resolve_workers
 
 #: Assignment attempts per spec before the dispatcher gives up and
 #: synthesizes a structured failure outcome.
@@ -81,8 +87,107 @@ def parse_hostport(address: str) -> Tuple[str, int]:
     return host, port
 
 
+#: How often a worker's campaign process checks that the worker lives.
+_PARENT_POLL_S = 0.5
+
+
 def _default_executor_factory(jobs: int) -> Executor:
-    return ProcessPoolExecutor(max_workers=jobs)
+    return ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=_campaign_process_init,
+        initargs=(os.getpid(),),
+    )
+
+
+def _campaign_process_init(worker_pid: int) -> None:
+    """Bind a worker's campaign process to the worker's lifetime.
+
+    Under the fork start method the pool forks after the worker has
+    opened its listening and dispatcher sockets, so each child starts
+    holding copies of them; a child that outlived a killed worker would
+    keep the port bound and the dispatcher connection half-open.  Each
+    inherited socket above stderr is replaced by ``/dev/null`` (the
+    descriptor number stays taken, so a stale socket object closing it
+    later cannot hit an unrelated file); fds 0-2 are kept, since a
+    worker run under a supervisor may log to a socket.  The pool itself
+    talks over pipes, which are left alone.
+
+    A daemon thread exits the process once the worker is gone.  Under
+    fork and spawn the worker is the parent, so re-parenting is the
+    signal.  Under forkserver the parent is the fork server, which stays
+    up as long as any of its children does, so the worker's pid is
+    polled instead.  SIGTERM gets its default action back: the worker's
+    own handler (see :func:`_until_sigterm`) is copied by a fork but
+    means nothing here, and the pool terminates broken children with
+    SIGTERM.
+    """
+    parent_pid = os.getppid()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        fds = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:
+        fds = []
+    for fd in fds:
+        try:
+            if fd > 2 and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:
+            pass  # the directory handle listdir used, already closed
+    os.close(devnull)
+
+    def worker_alive() -> bool:
+        if parent_pid == worker_pid:
+            return os.getppid() == worker_pid
+        try:
+            os.kill(worker_pid, 0)  # forkserver only, so POSIX
+        except OSError:
+            return False
+        return True
+
+    def watch_worker() -> None:
+        while worker_alive():
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch_worker, name="worker-watch", daemon=True
+    ).start()
+
+
+async def _until_sigterm(work: Awaitable[None]) -> bool:
+    """Await *work*; a SIGTERM cancels it.  True if SIGTERM stopped it.
+
+    Handled on the loop rather than left to the default action so the
+    caller's cleanup (closing the server, shutting the pool down) runs.
+    This holds whatever SIGINT's disposition is — a background job of a
+    non-interactive shell starts with SIGINT ignored, leaving SIGTERM as
+    the only polite way to stop it.
+    """
+    loop = asyncio.get_running_loop()
+    task = asyncio.ensure_future(work)
+    stopped = False
+
+    def stop() -> None:
+        nonlocal stopped
+        stopped = True
+        task.cancel()
+
+    try:
+        loop.add_signal_handler(signal.SIGTERM, stop)
+    except (NotImplementedError, RuntimeError):
+        pass  # no signal support here (not the main thread, Windows)
+    try:
+        await task
+    except asyncio.CancelledError:
+        if not stopped:
+            raise
+    finally:
+        try:
+            loop.remove_signal_handler(signal.SIGTERM)
+        except (NotImplementedError, RuntimeError):
+            pass
+    return stopped
 
 
 class _WorkerConnection:
@@ -440,8 +545,8 @@ class ClusterWorker:
     """Run campaigns for a dispatcher over one or many sessions.
 
     Wraps :func:`execute_campaign` behind a local executor (by default
-    a :class:`ProcessPoolExecutor` of ``jobs`` workers, so the PR 9
-    shared-memory shard machinery composes underneath unchanged).  One
+    a :class:`ProcessPoolExecutor` of ``jobs`` workers whose processes
+    drop the worker's sockets and exit when the worker dies).  One
     ``next`` is pulled per free slot; outcomes stream back as they
     finish.  A broken executor is rebuilt and reported per campaign —
     never propagated to the session.
@@ -669,14 +774,18 @@ def run_listening_sweep(
 
 def run_worker_connect(
     address: str, jobs: Optional[int] = None
-) -> int:
-    """Dial a dispatcher, work until it says ``done``; campaigns run."""
+) -> Optional[int]:
+    """Dial a dispatcher, work until it says ``done``; campaigns run.
+
+    Returns ``None`` when a SIGTERM stopped the worker first.
+    """
     host, port = parse_hostport(address)
 
-    async def _run() -> int:
+    async def _run() -> Optional[int]:
         worker = ClusterWorker(jobs=jobs)
         try:
-            await worker.connect(host, port)
+            if await _until_sigterm(worker.connect(host, port)):
+                return None
             return worker.campaigns_run
         finally:
             await worker.aclose()
@@ -689,10 +798,12 @@ def run_worker_listen(
     jobs: Optional[int] = None,
     announce: Optional[Callable[[str], None]] = None,
 ) -> None:
-    """Listen and serve dispatchers until interrupted.
+    """Listen and serve dispatchers until SIGTERM or SIGINT.
 
-    ``announce`` receives the bound ``"host:port"`` (the CLI prints it;
-    the cluster bench parses it to learn ephemeral ports).
+    Returns after a SIGTERM; SIGINT raises ``KeyboardInterrupt`` as
+    usual.  Either way the server is closed and the pool shut down
+    first.  ``announce`` receives the bound ``"host:port"`` (the CLI
+    prints it; the cluster bench parses it to learn ephemeral ports).
     """
     host, port = parse_hostport(address)
 
@@ -702,7 +813,7 @@ def run_worker_listen(
             bound_host, bound_port = await worker.listen(host, port)
             if announce is not None:
                 announce(f"{bound_host}:{bound_port}")
-            await worker.serve_forever()
+            await _until_sigterm(worker.serve_forever())
         finally:
             await worker.aclose()
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -40,7 +41,11 @@ from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 from repro.measurement.fleet import Fleet, MarketplaceWorld
 from repro.measurement.placement import place_clients
-from repro.parallel.sharding import resolve_workers
+
+#: Default cap on worker processes when ``jobs`` is left unset: enough
+#: to keep a sweep busy, small enough not to oversubscribe typical CI
+#: boxes.
+DEFAULT_WORKER_CAP = 4
 
 #: City name -> config factory, the same names ``repro measure --city``
 #: accepts.  Factories take the jitter probability.
@@ -71,9 +76,8 @@ class CampaignSpec:
     #: ``None`` keeps the run digest-only — nothing hits disk.
     out: Optional[str] = None
     #: Engine perf-flag overrides as ``(name, value)`` pairs, e.g.
-    #: ``(("use_parallel_ping", False),)``.  Restricted to the engine's
-    #: ``use_*`` flags plus ``parallel_workers`` / ``state_shards`` /
-    #: ``shard_executor``; anything else is a spec error (reported as a
+    #: ``(("use_batched_ping", False),)``.  Restricted to the engine's
+    #: ``use_*`` flags; anything else is a spec error (reported as a
     #: structured outcome, not a crash).
     engine_flags: Tuple[Tuple[str, object], ...] = ()
 
@@ -125,13 +129,21 @@ _ALLOWED_FLAGS = frozenset(
         "use_spatial_index",
         "use_vectorized_step",
         "use_batched_ping",
-        "use_parallel_ping",
-        "parallel_workers",
-        "use_sharded_state",
-        "state_shards",
-        "shard_executor",
     }
 )
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """Effective worker-process count for a sweep or a cluster worker.
+
+    ``None`` picks ``min(DEFAULT_WORKER_CAP, cpu_count)``; an explicit
+    count is honoured as given.
+    """
+    if workers is None:
+        return max(1, min(DEFAULT_WORKER_CAP, os.cpu_count() or 1))
+    if workers < 1:
+        raise ValueError("parallel workers must be >= 1")
+    return workers
 
 
 def truth_digest(engine: MarketplaceEngine) -> str:
@@ -266,7 +278,7 @@ def run_sweep(
 ) -> List[CampaignOutcome]:
     """Execute independent campaigns, one outcome per spec, spec order.
 
-    ``jobs=None`` resolves like the shard pool's worker count
+    ``jobs=None`` resolves through :func:`resolve_workers`
     (``min(4, cpu_count)``); ``jobs=1`` — or a single spec — runs
     sequentially in-process, which is also the bit-identity reference
     the parallel path must match.  Worker crashes that kill the process

@@ -118,3 +118,17 @@ def toy_campaign():
     log = fleet.run(world, duration_s=5400.0, city="toyville",
                     warmup_s=1800.0)
     return engine, log
+
+
+@pytest.fixture(scope="session")
+def source_tree_lint():
+    """Both lint passes over ``src/``, run once per session.
+
+    The whole-tree lint is the slowest static check; the gate test and
+    the suppression-justification test read the same result.
+    """
+    from pathlib import Path
+
+    from repro.devtools.lint import run_lint
+
+    return run_lint([Path(__file__).resolve().parent.parent / "src"])

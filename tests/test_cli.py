@@ -165,14 +165,6 @@ class TestLintCommand:
         assert rc == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_repo_source_tree_is_clean_via_cli(self, capsys):
-        import pathlib
-
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        rc = main(["lint", str(src)])
-        assert rc == 0
-        assert "0 findings" in capsys.readouterr().out
-
     def test_sarif_report(self, tmp_path, capsys):
         import json as jsonlib
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -171,7 +172,7 @@ def test_encode_frame_rejects_oversized_payload():
 def test_spec_codec_roundtrips_exactly():
     spec = _tiny_spec(
         "codec", seed=11, out="logs/a.jsonl.gz",
-        engine_flags=(("use_parallel_ping", True), ("state_shards", 3)),
+        engine_flags=(("use_batched_ping", False), ("use_spatial_index", True)),
     )
     assert wire.spec_from_wire(wire.spec_to_wire(spec)) == spec
     bare = _tiny_spec("bare")
@@ -640,29 +641,161 @@ class TestRealSocketCluster:
         addresses = []
         try:
             for _ in range(2):
-                proc = subprocess.Popen(
-                    [sys.executable, "-m", "repro.cli", "worker",
-                     "--listen", "127.0.0.1:0", "--jobs", "1"],
-                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                    text=True, env=_worker_env(),
-                )
+                proc = _start_worker()
                 procs.append(proc)
-                line = proc.stdout.readline()
-                assert "listening on" in line, line
-                addresses.append(line.split("listening on ")[1].split()[0])
+                addresses.append(_listening_address(proc))
 
             killer = _KillAfter(procs[1], delay_s=1.0)
             killer.start()
             outcomes = run_cluster_sweep(specs, addresses)
             killer.join()
         finally:
-            for proc in procs:
-                proc.kill()
-                proc.wait(timeout=10)
+            _stop_workers(procs)
 
         assert [o.key for o in outcomes] == [s.key for s in specs]
         assert all(o.ok for o in outcomes), [o.error for o in outcomes]
         assert {o.key: o.truth_digest for o in outcomes} == expected
+
+
+    @pytest.mark.parametrize("start_method", [
+        pytest.param(method, marks=pytest.mark.skipif(
+            method not in multiprocessing.get_all_start_methods(),
+            reason=f"no {method} start method on this platform"))
+        for method in ("fork", "forkserver", "spawn")
+    ])
+    def test_killed_worker_leaves_no_campaign_processes(self, start_method):
+        """SIGKILL a `--listen` worker that has run a campaign.
+
+        Under fork its pool processes were forked after its sockets
+        existed; under every start method they must exit once it is gone
+        and must not hold its listening port.
+        """
+        self._skip_unless_sockets()
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("finding child processes needs /proc")
+        proc = _start_worker(start_method=start_method)
+        try:
+            address = _listening_address(proc)
+            outcomes = run_cluster_sweep([_tiny_spec("one")], [address])
+            assert outcomes[0].ok, outcomes[0].error
+            descendants = _descendants_of(proc.pid)
+            assert descendants, "the worker started no campaign process"
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while _alive(descendants) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _alive(descendants), "campaign processes outlived the worker"
+        host, port = parse_hostport(address)
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, port))
+
+    def test_worker_stops_cleanly_on_sigterm_with_sigint_ignored(self):
+        """A worker started with SIGINT ignored (a background job of a
+        non-interactive shell) still stops on SIGTERM: server closed,
+        pool shut down, exit status 0."""
+        self._skip_unless_sockets()
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            proc = _start_worker(stderr=subprocess.PIPE)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            address = _listening_address(proc)
+            outcomes = run_cluster_sweep([_tiny_spec("one")], [address])
+            assert outcomes[0].ok, outcomes[0].error
+            proc.send_signal(signal.SIGINT)
+            time.sleep(0.3)
+            assert proc.poll() is None, "SIGINT was not ignored"
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert proc.returncode == 0, err
+        assert "worker: shutting down" in err
+
+
+#: Runs the CLI after choosing the multiprocessing start method argv[1].
+_WITH_START_METHOD = (
+    "import multiprocessing, sys; "
+    "multiprocessing.set_start_method(sys.argv.pop(1)); "
+    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def _start_worker(stderr=subprocess.DEVNULL, start_method=None):
+    """A `repro worker --listen` subprocess on an ephemeral port.
+
+    *start_method* runs it under that multiprocessing start method
+    instead of the platform default.
+    """
+    launcher = ["-m", "repro.cli"]
+    if start_method is not None:
+        launcher = ["-c", _WITH_START_METHOD, start_method]
+    return subprocess.Popen(
+        [sys.executable, *launcher, "worker",
+         "--listen", "127.0.0.1:0", "--jobs", "1"],
+        stdout=subprocess.PIPE, stderr=stderr, text=True,
+        env=_worker_env(),
+    )
+
+
+def _listening_address(proc):
+    line = proc.stdout.readline()
+    assert "listening on" in line, line
+    return line.split("listening on ")[1].split()[0]
+
+
+def _stop_workers(procs):
+    """SIGTERM every worker (a no-op for one already reaped) and wait."""
+    for proc in procs:
+        proc.send_signal(signal.SIGTERM)
+    for proc in procs:
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` from /proc/<pid>/stat, or None once gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _descendants_of(pid):
+    """Every live process below *pid* (a fork server's children too)."""
+    parents = {}
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            stat = _proc_stat(int(name))
+            if stat is not None:
+                parents[int(name)] = stat[1]
+    found = []
+    frontier = [pid]
+    while frontier:
+        parent = frontier.pop()
+        children = [p for p, pp in parents.items() if pp == parent]
+        found.extend(children)
+        frontier.extend(children)
+    return found
+
+
+def _alive(pids):
+    """Pids still running (a zombie has exited, so it does not count)."""
+    return [
+        pid for pid in pids
+        if (stat := _proc_stat(pid)) is not None and stat[0] != "Z"
+    ]
 
 
 def _worker_env():

@@ -25,21 +25,18 @@ ever migrates platforms, regenerate.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import statistics
 import sys
 from pathlib import Path
 
-import pytest
-
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / (
     "campaign_digest.json"
 )
 
 from repro.analysis.report import audit_campaign
-from repro.marketplace.config import ParallelParams, sf_config
+from repro.marketplace.config import sf_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 from repro.measurement.fleet import Fleet, MarketplaceWorld
@@ -56,19 +53,10 @@ PING_INTERVAL_S = 15.0
 MAX_CLIENTS = 6
 
 
-def run_golden_campaign(**engine_kwargs):
-    """The pinned campaign, end to end; returns (engine, log, report).
-
-    ``engine_kwargs`` lets the shard-count sweep force
-    ``state_shards``; forced counts also drop the shard-row floor to 1
-    so the pool path really runs at this campaign's scale.
-    """
+def run_golden_campaign():
+    """The pinned campaign, end to end; returns (engine, log, report)."""
     cfg = sf_config(jitter_probability=0.25)
-    if engine_kwargs.get("state_shards"):
-        cfg = dataclasses.replace(
-            cfg, parallel=ParallelParams(min_shard_rows=1)
-        )
-    engine = MarketplaceEngine(cfg, seed=SEED, **engine_kwargs)
+    engine = MarketplaceEngine(cfg, seed=SEED)
     fleet = Fleet(
         place_clients(cfg.region, max_clients=MAX_CLIENTS),
         car_types=[CarType.UBERX],
@@ -139,9 +127,9 @@ def _report_scalars(engine, report) -> dict:
     }
 
 
-def build_digest(**engine_kwargs) -> dict:
+def build_digest() -> dict:
     """Run the campaign and condense it into the golden payload."""
-    engine, _, report = run_golden_campaign(**engine_kwargs)
+    engine, _, report = run_golden_campaign()
     payload = {
         "truth": _truth_payload(engine),
         "report": _report_scalars(engine, report),
@@ -180,29 +168,6 @@ def test_golden_campaign_digest_unchanged():
     assert current["report"] == golden["report"]
     assert current["truth_intervals"] == golden["truth_intervals"]
     assert current["digest"] == golden["digest"]
-
-
-@pytest.mark.parametrize(
-    "shards,executor",
-    [(s, "thread") for s in (1, 2, 4, 7)]
-    + [(s, "process") for s in (2, 7)],
-)
-def test_golden_digest_unchanged_at_every_shard_count(shards, executor):
-    """``use_sharded_state`` must not move the golden digest at any
-    shard count *or* executor: the spatial partition of the tick (and
-    the forced pool merge at counts > 1) is pure speed, never
-    behaviour — whether the stripes run on the thread pool or in
-    shared-memory worker processes.  Count 1 pins that the serial
-    reference path is itself the golden behaviour."""
-    golden = json.loads(GOLDEN_PATH.read_text())
-    current = build_digest(
-        use_sharded_state=True,
-        state_shards=shards,
-        shard_executor=executor,
-    )
-    label = f"{shards} shards / {executor}"
-    assert current["report"] == golden["report"], label
-    assert current["digest"] == golden["digest"], label
 
 
 def test_golden_campaign_is_nontrivial():

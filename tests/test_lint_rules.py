@@ -1,7 +1,7 @@
 """Per-rule tests for the static analysis passes.
 
 Both series are covered: the determinism rules (REP001-REP006) and the
-concurrency/async hazard rules (REP101-REP105).  Every rule gets a
+concurrency/async hazard rules (REP101-REP103, REP105).  Every rule gets a
 paired fire / no-fire fixture under ``tests/lint_fixtures/``; the
 catalogue in ``docs/static_analysis.md`` and the combined rule registry
 must stay in one-to-one correspondence.
@@ -47,7 +47,6 @@ FIRE_EXPECTATIONS = {
     "REP101": ("rep101_fire.py", 3),
     "REP102": ("rep102_fire.py", 2),
     "REP103": ("service/rep103_fire.py", 4),
-    "REP104": ("rep104_fire.py", 4),
     "REP105": ("rep105_fire.py", 3),
 }
 
@@ -61,7 +60,6 @@ OK_FIXTURES = {
     "REP101": "rep101_ok.py",
     "REP102": "rep102_ok.py",
     "REP103": "service/rep103_ok.py",
-    "REP104": "rep104_ok.py",
     "REP105": "rep105_ok.py",
 }
 
@@ -226,21 +224,6 @@ def test_rep103_only_scopes_service_paths(tmp_path):
     # Not under a service/ directory: REP103 stays quiet (the sleep is
     # still an event-loop stall, but only the service layer's contract
     # demands the async discipline).
-    assert lint_codes(f) == []
-
-
-def test_rep104_only_checks_dispatched_functions(tmp_path):
-    f = tmp_path / "plainwrites.py"
-    f.write_text(
-        "class F:\n"
-        "    def __init__(self, arr):\n"
-        "        self.arr = arr\n"
-        "    def reset(self):\n"
-        "        self.arr[:] = 0\n"
-        "        self.count = 0\n"
-    )
-    # reset() is never handed to map_ordered/run_in_executor, so its
-    # whole-array write is the single-threaded owner's business.
     assert lint_codes(f) == []
 
 

@@ -1,96 +1,38 @@
-"""The parallel execution layer: shard planning, the worker pool,
-threaded round serving, and the campaign orchestrator.
+"""The parallel execution layer: the campaign orchestrator.
 
-Three contracts under test:
+Two contracts under test:
 
-* **Sharding is invisible** — any shard decomposition of a round's
-  distance pass produces bit-identical replies, truth logs, and RNG
-  state to the serial pass (the 32-way flag matrix in
-  ``test_perf_regression`` covers the combos; here the shard planner
-  and pool are pinned directly, plus a forced-worker engine run.  The
-  spatial *state* sharding twin lives in ``test_sharded_state``).
 * **Sweeps are deterministic and isolated** — the orchestrator returns
   outcomes in spec order whatever the completion order, a crashing
   campaign yields a structured error without poisoning siblings, and
   process-pool campaigns are bit-identical to sequential ones.
-* **Campaign-level state stays single-threaded** — scheduler budget
-  accounting survives both the documented single-thread use (pinned
-  after a parallel-served round) and adversarial multi-thread use.
+* **Campaign-level state survives threads** — scheduler budget
+  accounting stays exact under adversarial multi-thread use.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import multiprocessing
 import os
 import threading
 from concurrent.futures import Future
 
-import numpy as np
 import pytest
 
-from repro.api.ping import PingEndpoint
-from repro.geo.latlon import LatLon
-from repro.marketplace.config import (
-    ParallelParams,
-    manhattan_config,
-)
-from repro.marketplace.engine import MarketplaceEngine
 from repro.measurement.scheduler import RequestScheduler
 from repro.parallel.orchestrator import (
     CampaignOutcome,
     CampaignSpec,
     execute_campaign,
+    resolve_workers,
     run_sweep,
 )
-from repro.parallel.sharding import ShardPool, plan_shards, resolve_workers
 
 
 # ----------------------------------------------------------------------
-# Shard planning
+# The campaign orchestrator
 # ----------------------------------------------------------------------
-def test_plan_shards_partitions_every_segment():
-    shards = plan_shards(100, [40, 7, 0, 13], workers=4, min_elements=1)
-    by_segment = {}
-    for seg, c0, c1, r0, r1 in shards:
-        by_segment.setdefault(seg, []).append((c0, c1, r0, r1))
-    # Empty segment yields nothing; others cover all columns and
-    # partition the location rows exactly, in order.
-    assert set(by_segment) == {0, 1, 3}
-    for seg, blocks in by_segment.items():
-        assert all(c0 == 0 for c0, _, _, _ in blocks)
-        rows = []
-        for _, _, r0, r1 in blocks:
-            assert r1 > r0
-            rows.append((r0, r1))
-        assert rows[0][0] == 0
-        assert rows[-1][1] == 100
-        for (_, prev_end), (next_start, _) in zip(rows, rows[1:]):
-            assert prev_end == next_start
-
-
-def test_plan_shards_is_deterministic_and_respects_granularity():
-    args = (977, [300, 5], 8, 4096)
-    assert plan_shards(*args) == plan_shards(*args)
-    # A segment below the element floor stays whole.
-    shards = plan_shards(10, [3], workers=8, min_elements=1000)
-    assert shards == [(0, 0, 3, 0, 10)]
-    # One worker -> one shard per non-empty segment.
-    shards = plan_shards(50, [10, 20], workers=1, min_elements=1)
-    assert shards == [(0, 0, 10, 0, 50), (1, 0, 20, 0, 50)]
-    # Never more blocks than locations.
-    shards = plan_shards(2, [1000], workers=8, min_elements=1)
-    assert len(shards) == 2
-
-
-def test_plan_shards_validates():
-    with pytest.raises(ValueError):
-        plan_shards(10, [5], workers=0, min_elements=1)
-    with pytest.raises(ValueError):
-        plan_shards(10, [5], workers=2, min_elements=0)
-
-
 def test_resolve_workers():
     assert resolve_workers(1) == 1
     assert resolve_workers(7) == 7
@@ -100,173 +42,6 @@ def test_resolve_workers():
         resolve_workers(0)
 
 
-# ----------------------------------------------------------------------
-# The worker pool
-# ----------------------------------------------------------------------
-def test_map_ordered_preserves_task_order():
-    pool = ShardPool(workers=3, min_elements=1)
-    try:
-        tasks = [(i,) for i in range(20)]
-        assert pool.map_ordered(lambda i: i * i, tasks) == [
-            i * i for i in range(20)
-        ]
-    finally:
-        pool.shutdown()
-
-
-def test_map_ordered_single_task_runs_inline():
-    pool = ShardPool(workers=3, min_elements=1)
-    try:
-        thread_names = []
-        pool.map_ordered(
-            lambda: thread_names.append(threading.current_thread().name),
-            [()],
-        )
-        assert thread_names == ["MainThread"]
-        assert pool._executor is None  # never started
-    finally:
-        pool.shutdown()
-
-
-def test_map_ordered_propagates_shard_failure():
-    pool = ShardPool(workers=2, min_elements=1)
-
-    def boom(i):
-        if i == 3:
-            raise RuntimeError("shard died")
-        return i
-
-    try:
-        with pytest.raises(RuntimeError, match="shard died"):
-            pool.map_ordered(boom, [(i,) for i in range(6)])
-    finally:
-        pool.shutdown()
-
-
-def test_shard_pool_validates():
-    with pytest.raises(ValueError):
-        ShardPool(workers=0)
-    with pytest.raises(ValueError):
-        ShardPool(workers=1, min_elements=0)
-
-
-def test_shard_pool_lazy_create_is_race_free():
-    """Concurrent first use builds exactly one executor.
-
-    The pre-lock _ensure was an unlocked check-then-create: two threads
-    racing through the ``None`` check could each build a
-    ThreadPoolExecutor, and the loser's pool (with its worker threads)
-    leaked until process exit.  Hammer the window with many threads
-    released by a barrier and count distinct executors observed.
-    """
-    for _ in range(20):
-        pool = ShardPool(workers=2, min_elements=1)
-        n_threads = 8
-        barrier = threading.Barrier(n_threads)
-        seen = set()
-        seen_lock = threading.Lock()
-
-        def first_use():
-            barrier.wait()
-            executor = pool._ensure()
-            with seen_lock:
-                seen.add(id(executor))
-
-        threads = [
-            threading.Thread(target=first_use) for _ in range(n_threads)
-        ]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert len(seen) == 1, (
-                f"racing first use built {len(seen)} executors"
-            )
-        finally:
-            pool.shutdown()
-        assert pool._executor is None  # shutdown cleared the handle
-
-
-# ----------------------------------------------------------------------
-# Threaded round serving
-# ----------------------------------------------------------------------
-def _served_rounds(engine: MarketplaceEngine, ticks: int = 40):
-    endpoint = PingEndpoint(engine)
-    box = engine.config.region.bounding_box
-    requests = [
-        (
-            1000 + i,
-            LatLon(box.south + 0.0015 * i, box.west + 0.0015 * i),
-            None,
-        )
-        for i in range(10)
-    ]
-    replies = []
-    for _ in range(ticks):
-        engine.tick()
-        replies.extend(endpoint.serve_round(requests))
-    return replies, engine.truth, engine.rng.getstate()
-
-
-def test_forced_worker_round_serving_is_bit_identical():
-    """Three forced workers, one-element shard floor: the threaded
-    shard/merge path really runs (thread names prove it) and still
-    produces exactly the serial engine's replies, truth, RNG state."""
-    cfg = manhattan_config()
-    cfg_par = dataclasses.replace(
-        cfg, parallel=ParallelParams(workers=3, min_shard_elements=1)
-    )
-    serial = _served_rounds(
-        MarketplaceEngine(cfg, seed=13, use_parallel_ping=False)
-    )
-    engine = MarketplaceEngine(cfg_par, seed=13)
-    assert engine._shard_pool is not None
-    assert engine.parallel_workers == 3
-    parallel = _served_rounds(engine)
-    assert any(
-        t.name.startswith("repro-shard") for t in threading.enumerate()
-    ), "worker threads never started — the test exercised nothing"
-    assert parallel == serial
-
-
-def test_auto_workers_single_core_falls_back_to_serial(monkeypatch):
-    """With workers unset, the pool auto-sizes; on a single-core box
-    that resolves to 1 and the engine skips the pool entirely."""
-    import repro.parallel.sharding as sharding
-
-    monkeypatch.setattr(sharding.os, "cpu_count", lambda: 1)
-    engine = MarketplaceEngine(manhattan_config(), seed=1)
-    assert engine.parallel_workers == 1
-    assert engine._shard_pool is None
-
-
-def test_round_nearest_pool_matches_inline_directly():
-    """FleetArray.round_nearest with a pool equals the poolless call,
-    element for element, including the served-rows set."""
-    engine = MarketplaceEngine(manhattan_config(), seed=5)
-    for _ in range(30):
-        engine.tick()
-    vec = engine._vec
-    assert vec is not None
-    box = engine.config.region.bounding_box
-    lats = np.linspace(box.south, box.north, 9)
-    lons = np.linspace(box.west, box.east, 9)
-    baseline = vec.round_nearest(lats, lons, k=8)
-    pool = ShardPool(workers=3, min_elements=1)
-    try:
-        pooled = vec.round_nearest(lats, lons, k=8, pool=pool)
-    finally:
-        pool.shutdown()
-    assert pooled.served_rows == baseline.served_rows
-    assert pooled._per_type.keys() == baseline._per_type.keys()
-    for ct in baseline._per_type:
-        assert pooled._per_type[ct] == baseline._per_type[ct]
-
-
-# ----------------------------------------------------------------------
-# The campaign orchestrator
-# ----------------------------------------------------------------------
 def _tiny_spec(key: str, city: str = "manhattan", seed: int = 3,
                hours: float = 0.05, **kwargs) -> CampaignSpec:
     return CampaignSpec(
@@ -394,11 +169,22 @@ def test_outcome_json_schema_is_backward_compatible():
 
 
 def test_unknown_engine_flag_is_a_structured_error():
-    spec = _tiny_spec("flagged", engine_flags=(("use_warp_drive", True),))
-    outcome = execute_campaign(spec)
-    assert not outcome.ok
-    assert outcome.error is not None
-    assert "use_warp_drive" in outcome.error
+    """Unknown flags fail the campaign as a structured outcome — among
+    them the retired parallel knobs, so an old sweep spec that still
+    carries one is refused rather than silently run serial."""
+    for name, value in (
+        ("use_warp_drive", True),
+        ("use_parallel_ping", True),
+        ("parallel_workers", 2),
+        ("use_sharded_state", True),
+        ("state_shards", 2),
+        ("shard_executor", "process"),
+    ):
+        spec = _tiny_spec("flagged", engine_flags=((name, value),))
+        outcome = execute_campaign(spec)
+        assert not outcome.ok, name
+        assert outcome.error is not None
+        assert name in outcome.error
 
 
 def test_engine_flags_reach_the_engine():
@@ -413,7 +199,6 @@ def test_engine_flags_reach_the_engine():
                 ("use_spatial_index", False),
                 ("use_vectorized_step", False),
                 ("use_batched_ping", False),
-                ("use_parallel_ping", False),
             ),
         )
     )
@@ -595,45 +380,6 @@ def test_prefetch_raises_on_failed_campaign(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Campaign-level state: scheduler accounting
 # ----------------------------------------------------------------------
-def test_scheduler_state_pinned_after_parallel_served_round():
-    """Budget accounting after a parallel-served round must equal the
-    serial-engine run exactly: the shard pool lives entirely below
-    ``serve_round`` and must never leak into campaign-level state."""
-
-    def run(engine: MarketplaceEngine):
-        endpoint = PingEndpoint(engine)
-        scheduler = RequestScheduler(limit_per_hour=100)
-        accounts = ["acct0", "acct1", "acct2"]
-        box = engine.config.region.bounding_box
-        requests = [
-            (2000 + i, LatLon(box.south + 0.002 * i, box.west), None)
-            for i in range(6)
-        ]
-        picks = []
-        for _ in range(10):
-            engine.tick()
-            endpoint.serve_round(requests)
-            for _ in requests:
-                picks.append(
-                    scheduler.account_for(accounts, engine.clock.now)
-                )
-        return picks, scheduler.total_spent(engine.clock.now)
-
-    cfg_par = dataclasses.replace(
-        manhattan_config(),
-        parallel=ParallelParams(workers=3, min_shard_elements=1),
-    )
-    serial_picks, serial_spend = run(
-        MarketplaceEngine(manhattan_config(), seed=4,
-                          use_parallel_ping=False)
-    )
-    parallel_picks, parallel_spend = run(
-        MarketplaceEngine(cfg_par, seed=4)
-    )
-    assert parallel_picks == serial_picks
-    assert parallel_spend == serial_spend == 60
-
-
 def test_scheduler_accounting_is_thread_safe():
     """Adversarial use: concurrent account_for calls must neither lose
     nor double-count spend (the read-modify-write is locked)."""

@@ -3,10 +3,8 @@
 Drives :func:`bench_perf_engine.run_bench` in ``--quick`` mode — a small
 fleet and a handful of ticks, seconds not minutes — and asserts the
 properties the full bench enforces across the scalar/vector ×
-brute/index × batched/per-client × parallel/serial ×
-sharded/serial-state flag matrix (``use_spatial_index`` ×
-``use_vectorized_step`` × ``use_batched_ping`` × ``use_parallel_ping``
-× ``use_sharded_state``):
+brute/index × batched/per-client flag matrix (``use_spatial_index`` ×
+``use_vectorized_step`` × ``use_batched_ping``):
 
 * same seed, any flag combination ⇒ identical truth logs, trip ledgers,
   ping replies, and engine RNG state (this is the hard contract; it
@@ -25,14 +23,13 @@ The speedup floors here are deliberately conservative (quick mode runs a
 fleet far below the scale where the optimisations shine; the full bench
 shows >= 3x on the PR 1/2 headline ratios and >= 1.5x on the batched
 round ratio): they exist to catch a regression that makes a flag
-*pessimal*, not to benchmark the machine running CI.  The thread- and
-process-parallel floors (``parallel_vs_serial_ping_rounds``,
-``sweep_parallel_vs_sequential``) are physical claims about multi-core
-machines — the bench JSON records them with ``enforced`` gated on
-``cpu_count >= 4``, and this module only asserts them where enforced.
+*pessimal*, not to benchmark the machine running CI.  The process-pool
+sweep floor (``sweep_parallel_vs_sequential``) is a physical claim
+about multi-core machines — the bench JSON records it with ``enforced``
+gated on ``cpu_count >= 4``, and this module only asserts it where
+enforced.
 """
 
-import os
 import sys
 from pathlib import Path
 
@@ -40,26 +37,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
-from bench_perf_engine import (
-    ALL_COMBOS,
-    LEGS,
-    PARALLEL_WORKERS,
-    check_equivalence,
-    run_bench,
-)
+from bench_perf_engine import ALL_COMBOS, LEGS, check_equivalence, run_bench
 
 
 def test_combo_matrix_is_complete():
-    """The equivalence sweep must cover the full five-flag matrix."""
-    assert len(ALL_COMBOS) == 32
-    assert len({tuple(sorted(c.items())) for c in ALL_COMBOS}) == 32
+    """The equivalence sweep must cover the full three-flag matrix."""
+    assert len(ALL_COMBOS) == 8
+    assert len({tuple(sorted(c.items())) for c in ALL_COMBOS}) == 8
     for combo in ALL_COMBOS:
         assert set(combo) == {
             "use_spatial_index",
             "use_vectorized_step",
             "use_batched_ping",
-            "use_parallel_ping",
-            "use_sharded_state",
         }
 
 
@@ -76,16 +65,14 @@ def test_quick_bench_equivalent_and_not_slower():
     # Batched round serving (use_batched_ping) must never be pessimal
     # vs per-client vectorized pings.
     assert speedup["batched_vs_perclient_ping_rounds"] >= 1.0
-    # Thread/process parallel floors only bind where the bench marks
-    # them enforced (>= 4 cores, full mode) — quick mode and small CI
-    # boxes record the ratios without asserting physics they can't
-    # exhibit.  Still require the numbers to exist and be positive.
-    for name in ("parallel_vs_serial_ping_rounds",
-                 "sweep_parallel_vs_sequential"):
-        bound = result["thresholds"][name]
-        assert speedup[name] > 0
-        if bound["enforced"]:
-            assert speedup[name] >= bound["min"]
+    # The process-pool sweep floor only binds where the bench marks it
+    # enforced (>= 4 cores, full mode) — quick mode and small CI boxes
+    # record the ratio without asserting physics they can't exhibit.
+    # Still require the number to exist and be positive.
+    bound = result["thresholds"]["sweep_parallel_vs_sequential"]
+    assert speedup["sweep_parallel_vs_sequential"] > 0
+    if bound["enforced"]:
+        assert speedup["sweep_parallel_vs_sequential"] >= bound["min"]
     # Every leg must have produced sane throughput numbers.
     for name in LEGS:
         assert result["legs"][name]["engine_ticks_per_s"] > 0
@@ -96,33 +83,11 @@ def test_quick_bench_equivalent_and_not_slower():
 def test_same_seed_truth_equivalence():
     """No flag combination may change behaviour, only speed.
 
-    Runs the full thirty-two-way ``use_spatial_index`` ×
-    ``use_vectorized_step`` × ``use_batched_ping`` ×
-    ``use_parallel_ping`` × ``use_sharded_state`` matrix on a small
+    Runs the full eight-way ``use_spatial_index`` ×
+    ``use_vectorized_step`` × ``use_batched_ping`` matrix on a small
     scenario: identical ``IntervalTruth`` streams, trip ledgers, ping
-    replies, and engine RNG state bit for bit.  Parallel combos force
-    three workers and sharded combos three state stripes, both with
-    one-element/one-row shard floors, so the threaded shard/merge paths
-    really execute (auto-sizing would serve toy work inline).  This is
-    the tier-1 enforcement of the contract the vectorized step, the
-    batched round-serving path, the sharded parallel pass, and the
-    sharded fleet state are built on.  (The {1, 2, 4, 7} shard-count
-    sweep is tests/test_sharded_state.py.)
+    replies, and engine RNG state bit for bit.  This is the tier-1
+    enforcement of the contract the vectorized step and the batched
+    round-serving path are built on.
     """
     assert check_equivalence(scale=1, ticks=30, seed=19)
-
-
-@pytest.mark.perf
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < PARALLEL_WORKERS,
-    reason="parallel speedup floors need >= 4 cores",
-)
-def test_parallel_ping_not_pessimal_at_scale():
-    """With real cores, forced-worker sharding must not lose to serial.
-
-    A conservative floor (the acceptance target is 1.3x on the full
-    bench; quick scale just can't regress below parity with margin for
-    noise).
-    """
-    result = run_bench(quick=True)
-    assert result["speedup"]["parallel_vs_serial_ping_rounds"] >= 0.9

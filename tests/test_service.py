@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import itertools
 import json
 
 import pytest
@@ -155,35 +156,23 @@ class TestRateLimitContract:
                     assert "error" not in ws.receive_json()
 
 
-FLAG_MATRIX = [
-    # (use_spatial_index, use_vectorized_step, use_batched_ping,
-    #  use_parallel_ping)
-    (True, True, True, True),
-    (True, True, True, False),
-    (True, True, False, False),
-    (True, False, False, False),
-    (False, True, True, True),
-    (False, True, True, False),
-    (False, True, False, False),
-    (False, False, False, False),
-]
+#: Every (use_spatial_index, use_vectorized_step, use_batched_ping)
+#: combination.
+FLAG_MATRIX = list(itertools.product((True, False), repeat=3))
 
 
 class TestTransportByteIdentity:
     """Socket payloads == canonical encoding of in-process results,
     across the performance-flag matrix."""
 
-    @pytest.mark.parametrize(
-        "spatial,vectorized,batched,parallel", FLAG_MATRIX
-    )
-    def test_flag_matrix(self, spatial, vectorized, batched, parallel):
+    @pytest.mark.parametrize("spatial,vectorized,batched", FLAG_MATRIX)
+    def test_flag_matrix(self, spatial, vectorized, batched):
         engine = MarketplaceEngine(
             toy_config(jitter_probability=0.3),
             seed=23,
             use_spatial_index=spatial,
             use_vectorized_step=vectorized,
             use_batched_ping=batched,
-            use_parallel_ping=parallel,
         )
         engine.run(600.0)
         center = engine.config.region.bounding_box.center

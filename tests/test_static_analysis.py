@@ -3,8 +3,8 @@
 Three layers, strongest always-on first:
 
 1. **Lint** — ``repro.devtools.lint`` (both passes: determinism
-   REP001-REP006 and concurrency REP101-REP105) over ``src/`` must
-   report zero non-suppressed findings, and every suppression must carry
+   REP001-REP006 and concurrency REP101-REP103, REP105) over ``src/``
+   must report zero non-suppressed findings, and every suppression must carry
    a written justification.  Pure stdlib, so this gate always runs.
 2. **Injection canaries** — deliberately planting the
    acceptance-criteria bugs must trip the gate: an unseeded
@@ -45,24 +45,23 @@ SRC = REPO / "src"
 # ----------------------------------------------------------------------
 # 1. The lint gate proper
 # ----------------------------------------------------------------------
-def test_source_tree_lints_clean():
+def test_source_tree_lints_clean(source_tree_lint):
     """Zero non-suppressed findings across src/ — the hard gate."""
-    result = run_lint([SRC])
+    result = source_tree_lint
     assert result.files_checked > 50  # the walk really found the tree
     assert result.active == [], (
         "determinism lint must pass on src/:\n" + render_text(result)
     )
 
 
-def test_every_suppression_is_justified():
+def test_every_suppression_is_justified(source_tree_lint):
     """No bare noqa anywhere: each suppression carries its reason.
 
     (A bare noqa would already fail the gate above via REP000; this
     test states the contract directly and keeps the justification text
     non-trivial.)
     """
-    result = run_lint([SRC])
-    for finding in result.suppressed:
+    for finding in source_tree_lint.suppressed:
         assert len(finding.justification) >= 10, (
             f"{finding.path}:{finding.line}: suppression needs a real "
             f"justification, got {finding.justification!r}"
